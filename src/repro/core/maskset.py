@@ -21,9 +21,9 @@ grid. This module exploits both redundancies:
   fast paths (e.g. a categorical clause on a numeric column) falls back
   to the reference ``clause.mask`` — still cached, still evaluated
   once.
-* **Masks are stored bit-packed** (``np.packbits``): a conjunction is a
-  bitwise AND of uint8 rows (n/8 bytes per predicate), match counts are
-  a 256-entry popcount table away, and dedupe keys are ``blake2b``
+* **Masks are stored bit-packed** (:mod:`repro.learn.bitset`): a
+  conjunction is a bitwise AND of uint8 rows (n/8 bytes per predicate),
+  match counts are one popcount away, and dedupe keys are ``blake2b``
   digests of the packed bits instead of full ``tobytes()`` buffers.
 
 A :class:`ClauseMaskCache` is memoized on
@@ -44,34 +44,9 @@ import numpy as np
 
 from ..db.predicate import CategoricalClause, Clause, NumericClause, Predicate
 from ..db.table import Table
+from ..learn.bitset import pack_mask, popcount, unpack_masks
 
-__all__ = ["ClauseMaskCache", "MaskSet", "pack_mask", "unpack_masks"]
-
-#: Per-byte popcount lookup: ``_POPCOUNT[packed].sum()`` counts set bits.
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-
-def pack_mask(mask: np.ndarray) -> np.ndarray:
-    """A boolean mask as packed uint8 bits (zero-padded to a whole byte)."""
-    return np.packbits(np.asarray(mask, dtype=bool))
-
-
-def unpack_masks(packed: np.ndarray, n_rows: int) -> np.ndarray:
-    """Packed rows back to a ``(rows, n_rows)`` boolean matrix."""
-    if packed.ndim == 1:
-        packed = packed[None, :]
-    return np.unpackbits(packed, axis=1, count=n_rows).view(bool)
-
-
-def popcount(packed: np.ndarray) -> np.ndarray:
-    """Set-bit count per row of a packed matrix (padding bits are zero)."""
-    if packed.ndim == 1:
-        packed = packed[None, :]
-    if packed.shape[1] == 0:
-        return np.zeros(packed.shape[0], dtype=np.int64)
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0: one C-level pass
-        return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
-    return _POPCOUNT[packed].sum(axis=1)
+__all__ = ["ClauseMaskCache", "MaskSet", "pack_mask", "popcount", "unpack_masks"]
 
 
 class _NumericColumn:

@@ -39,6 +39,22 @@ def entropy(pos_weight: float, neg_weight: float) -> float:
     return out
 
 
+def entropy_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`entropy` of nodes with ``pos`` of ``total`` weight.
+
+    Agrees with the scalar function to ~1e-14 absolute, not bit for bit: the
+    negative share is taken as ``1 - p`` and ``np.log2`` may round
+    differently from ``math.log2``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(total > 0, pos / total, 0.0)
+    out = np.zeros_like(p)
+    for q in (p, 1.0 - p):
+        positive = q > 0
+        out[positive] -= q[positive] * np.log2(q[positive])
+    return out
+
+
 def split_info(left_weight: float, right_weight: float) -> float:
     """Entropy of the partition itself — the gain-ratio denominator."""
     total = left_weight + right_weight

@@ -16,6 +16,26 @@ This is a faithful from-scratch CN2-SD:
 Numeric attributes are discretized with class-aware MDL cut points
 (falling back to equal-frequency quantiles), yielding threshold
 conditions such as ``temp > 100.3``.
+
+The beam search runs on packed bitsets. :meth:`SubgroupDiscovery.fit`
+packs the condition masks once into a (conditions × ⌈n/64⌉) matrix of
+64-bit words, plus a narrower copy over the positive rows only. Each
+level then scores all refinements of a beam entry together: AND the
+entry's bits into the matrix, popcount for coverage and for the "any
+positive" and "restricted nothing" tests, and unpack nothing until a
+rule is emitted. Weighted covering decays only positives, so negatives
+weigh 1 and a positive weighs γᵏ after ``k`` decays; a covered weight is
+``negatives + Σₖ γᵏ × popcount(covered positives at level k)``.
+
+**Exactness.** Under the default γ = 0.5 every weight is a power of two
+no smaller than ``2**-n_rules``, so every partial sum over ``n`` rows is
+a multiple of that power below ``n`` and fits in 53 bits whenever
+``n_rules + log2(n) <= 53`` (the default six rules allow any table that
+fits in memory). Each sum is then exact in any order, and qualities are
+bit-identical to summing the covered weights row by row. For other γ
+the two orders agree to rounding (about 1e-15 relative), and candidates
+whose qualities tie in exact arithmetic may rank differently than under
+a row-by-row sum.
 """
 
 from __future__ import annotations
@@ -28,6 +48,7 @@ import numpy as np
 from ..db.predicate import CategoricalClause, Clause, NumericClause, Predicate
 from ..db.table import Table
 from ..errors import LearnError
+from .bitset import pack_mask, popcount, unpack_masks
 from .discretize import equal_frequency_edges, mdl_entropy_edges
 from .metrics import wracc
 from .rules import Rule, dedupe_rules
@@ -52,13 +73,39 @@ class _Condition:
 @dataclass
 class _BeamEntry:
     clauses: tuple[Clause, ...]
-    mask: np.ndarray
+    #: Covered rows, packed into 64-bit words.
+    bits: np.ndarray
+    #: Covered positives, packed over the positive rows only.
+    pos_bits: np.ndarray
+    #: Number of covered rows.
+    count: int
     quality: float
     #: (column, direction) pairs already used; direction is "le"/"gt" for
     #: numeric bounds and "eq" for categorical, so a rule may carry both
     #: bounds of a numeric interval but never two categorical values or two
     #: upper bounds on one column.
     slots: frozenset
+
+
+@dataclass(frozen=True)
+class _ConditionMatrix:
+    """The condition masks of one fit, packed once into 64-bit words."""
+
+    #: (conditions × ⌈n/64⌉) packed masks over all rows.
+    rows: np.ndarray
+    #: (conditions × ⌈positives/64⌉) packed masks over the positive rows.
+    pos_rows: np.ndarray
+    #: Covered rows and covered positives per condition.
+    counts: np.ndarray
+    pos_counts: np.ndarray
+
+    @classmethod
+    def pack(cls, conditions: list[_Condition], labels: np.ndarray):
+        rows = np.stack([pack_mask(c.mask, np.uint64) for c in conditions])
+        pos_rows = np.stack(
+            [pack_mask(c.mask[labels], np.uint64) for c in conditions]
+        )
+        return cls(rows, pos_rows, popcount(rows), popcount(pos_rows))
 
 
 class SubgroupDiscovery:
@@ -120,16 +167,18 @@ class SubgroupDiscovery:
         conditions = self._build_conditions(table, labels, features, shared_edges)
         if not conditions:
             return []
+        matrix = _ConditionMatrix.pack(conditions, labels)
+        positives = np.flatnonzero(labels)
         weights = np.ones(len(table), dtype=np.float64)
         rules: list[Rule] = []
         emitted: set[Predicate] = set()
         for _ in range(self.n_rules):
-            best = self._beam_search(conditions, labels, weights, emitted)
+            best = self._beam_search(conditions, matrix, labels, weights, emitted)
             if best is None or best.quality <= 0:
                 break
-            covered = best.mask
-            n_covered = int(covered.sum())
-            n_pos = int((covered & labels).sum())
+            covered_pos = unpack_masks(best.pos_bits, len(positives))[0]
+            n_covered = best.count
+            n_pos = int(covered_pos.sum())
             predicate = Predicate(best.clauses).simplify()
             if predicate is None:
                 break
@@ -144,8 +193,7 @@ class SubgroupDiscovery:
                 )
             )
             # Weighted covering: decay covered positives.
-            decay = covered & labels
-            weights[decay] *= self.gamma
+            weights[positives[covered_pos]] *= self.gamma
             if weights[labels].sum() < 1e-9:
                 break
         return dedupe_rules(rules)
@@ -222,6 +270,7 @@ class SubgroupDiscovery:
     def _beam_search(
         self,
         conditions: list[_Condition],
+        matrix: _ConditionMatrix,
         labels: np.ndarray,
         weights: np.ndarray,
         emitted: set[Predicate] | None = None,
@@ -231,66 +280,103 @@ class SubgroupDiscovery:
         if pos_w <= 0:
             return None
         emitted = emitted or set()
+        # Weighted covering only ever decays positives, so negatives weigh
+        # 1 and the positives fall into a few weight levels γᵏ: a covered
+        # weight is a popcount per level.
+        pos_weights = weights[labels]
+        levels = np.unique(pos_weights)
+        level_bits = pack_mask(pos_weights[None, :] == levels[:, None], np.uint64)
 
-        def quality_of(mask: np.ndarray) -> float:
-            covered_w = float(weights[mask].sum())
-            covered_pos_w = float(weights[mask & labels].sum())
-            return wracc(total_w, pos_w, covered_w, covered_pos_w)
+        def qualities(counts, pos_counts, pos_bits) -> list[float]:
+            covered_pos_w = np.zeros(len(counts))
+            for level, bits in zip(levels, level_bits):
+                covered_pos_w += level * popcount(pos_bits & bits)
+            covered_w = (counts - pos_counts) + covered_pos_w
+            return [
+                wracc(total_w, pos_w, float(cw), float(cpw))
+                for cw, cpw in zip(covered_w, covered_pos_w)
+            ]
 
         def is_new(entry: _BeamEntry) -> bool:
             predicate = Predicate(entry.clauses).simplify()
             return predicate is not None and predicate not in emitted
 
-        beam: list[_BeamEntry] = []
         best: _BeamEntry | None = None
         # Level 1: single conditions.
-        for condition in conditions:
-            mask = condition.mask
-            if int(mask.sum()) < self.min_coverage or not (mask & labels).any():
-                continue
-            entry = _BeamEntry(
-                clauses=(condition.clause,),
-                mask=mask,
-                quality=quality_of(mask),
-                slots=frozenset([condition.slot]),
+        keep = np.flatnonzero(
+            (matrix.counts >= self.min_coverage) & (matrix.pos_counts > 0)
+        )
+        beam = [
+            _BeamEntry(
+                clauses=(conditions[index].clause,),
+                bits=matrix.rows[index],
+                pos_bits=matrix.pos_rows[index],
+                count=int(matrix.counts[index]),
+                quality=quality,
+                slots=frozenset([conditions[index].slot]),
             )
-            beam.append(entry)
+            for index, quality in zip(
+                keep,
+                qualities(
+                    matrix.counts[keep],
+                    matrix.pos_counts[keep],
+                    matrix.pos_rows[keep],
+                ),
+            )
+        ]
         beam.sort(key=lambda e: -e.quality)
         beam = beam[: self.beam_width]
         for entry in beam:
             if is_new(entry):
                 best = entry
                 break
-        # Deeper levels.
+        # Deeper levels: all refinements of one beam entry in one pass.
         for _ in range(1, self.max_conditions):
             children: list[_BeamEntry] = []
             seen: set[frozenset] = set()
             for entry in beam:
-                for condition in conditions:
-                    # One condition per (column, direction) slot: numeric
-                    # columns can gain both an upper and a lower bound
-                    # (forming an interval), categoricals only one value.
-                    if condition.slot in entry.slots:
-                        continue
-                    if (condition.column, "eq") in entry.slots:
-                        continue
-                    mask = entry.mask & condition.mask
-                    count = int(mask.sum())
-                    if count < self.min_coverage or not (mask & labels).any():
-                        continue
-                    if count == int(entry.mask.sum()):
-                        # The condition restricted nothing on this branch.
-                        continue
+                # One condition per (column, direction) slot: numeric
+                # columns can gain both an upper and a lower bound
+                # (forming an interval), categoricals only one value.
+                allowed = np.array(
+                    [
+                        condition.slot not in entry.slots
+                        and (condition.column, "eq") not in entry.slots
+                        for condition in conditions
+                    ]
+                )
+                rows = matrix.rows & entry.bits
+                pos_rows = matrix.pos_rows & entry.pos_bits
+                counts = popcount(rows)
+                pos_counts = popcount(pos_rows)
+                # Keep refinements with enough coverage and a positive that
+                # restrict something on this branch, once per clause set.
+                fresh: list[tuple[int, _Condition, tuple[Clause, ...]]] = []
+                for index in np.flatnonzero(
+                    allowed
+                    & (counts >= self.min_coverage)
+                    & (pos_counts > 0)
+                    & (counts != entry.count)
+                ):
+                    condition = conditions[index]
                     clauses = entry.clauses + (condition.clause,)
                     key = frozenset(clauses)
                     if key in seen:
                         continue
                     seen.add(key)
+                    fresh.append((index, condition, clauses))
+                indices = [index for index, __, __ in fresh]
+                scored = qualities(
+                    counts[indices], pos_counts[indices], pos_rows[indices]
+                )
+                for (index, condition, clauses), quality in zip(fresh, scored):
                     children.append(
                         _BeamEntry(
                             clauses=clauses,
-                            mask=mask,
-                            quality=quality_of(mask),
+                            bits=rows[index],
+                            pos_bits=pos_rows[index],
+                            count=int(counts[index]),
+                            quality=quality,
                             slots=entry.slots | {condition.slot},
                         )
                     )
@@ -298,6 +384,10 @@ class SubgroupDiscovery:
                 break
             children.sort(key=lambda e: -e.quality)
             beam = children[: self.beam_width]
+            for entry in beam:
+                # Own the packed rows, so this level's AND results are freed.
+                entry.bits = entry.bits.copy()
+                entry.pos_bits = entry.pos_bits.copy()
             for entry in beam:
                 if is_new(entry) and (best is None or entry.quality > best.quality):
                     best = entry

@@ -43,7 +43,7 @@ import numpy as np
 from ..db.predicate import CategoricalClause, Clause, NumericClause, Predicate
 from ..db.table import Table
 from ..errors import LearnError, NotFittedError
-from .metrics import entropy, gini_impurity, split_info
+from .metrics import entropy, entropy_vec, gini_impurity, split_info
 from .rules import Rule
 from .split_index import CategoricalColumnIndex, NumericColumnIndex, SplitIndex
 
@@ -605,8 +605,8 @@ class DecisionTree:
             return parent - child
         parent = entropy(total_pos, total_w - total_pos)
         child = (
-            left_w * _entropy_vec(left_p, left_w)
-            + right_w * _entropy_vec(right_p, right_w)
+            left_w * entropy_vec(left_p, left_w)
+            + right_w * entropy_vec(right_p, right_w)
         ) / total_w
         gain = parent - child
         if self.criterion == "entropy":
@@ -855,16 +855,6 @@ def _gini_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(total > 0, pos / total, 0.0)
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-
-def _entropy_vec(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(total > 0, pos / total, 0.0)
-    out = np.zeros_like(p)
-    for q in (p, 1.0 - p):
-        positive = q > 0
-        out[positive] -= q[positive] * np.log2(q[positive])
-    return out
 
 
 def _subtree_cost(node: _Node) -> tuple[float, int]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import learn_oracles as oracles
 from repro.errors import LearnError
 from repro.learn import (
     bin_index,
@@ -198,3 +199,103 @@ class TestDiscretize:
             if edges:
                 assert min(edges) > array.min() - 1e-9
                 assert max(edges) < array.max() + 1e-9
+
+
+def _blocks(pos_counts, neg_counts, scale):
+    """Values 1, 2, 3, ... with ``scale ×`` the given class counts each."""
+    sizes = (np.asarray(pos_counts) + np.asarray(neg_counts)) * scale
+    values = np.repeat(np.arange(1.0, len(sizes) + 1), sizes)
+    labels = np.concatenate(
+        [
+            np.r_[np.ones(p * scale, dtype=bool), np.zeros(q * scale, dtype=bool)]
+            for p, q in zip(pos_counts, neg_counts)
+        ]
+    )
+    return values, labels
+
+
+def _weighted_entropy(labels, split):
+    """Size-weighted child entropy of cutting sorted ``labels`` at ``split``,
+    evaluated as the MDL scan does (gain = parent entropy - this)."""
+    n = len(labels)
+    left_pos = float(labels[:split].sum())
+    right_pos = float(labels[split:].sum())
+    return (split / n) * entropy(left_pos, split - left_pos) + (
+        (n - split) / n
+    ) * entropy(right_pos, (n - split) - right_pos)
+
+
+@st.composite
+def _mdl_inputs(draw):
+    """Duplicate-heavy columns with NaNs, constant columns, one-class labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 300))
+    pool = np.round(rng.normal(0.0, 50.0, draw(st.integers(1, 60))), 1)
+    values = rng.choice(pool, n)
+    values[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] = np.nan
+    mode = draw(st.sampled_from(["random", "threshold", "positive", "negative"]))
+    if mode == "random":
+        labels = rng.random(n) < rng.uniform(0.05, 0.95)
+    elif mode == "threshold":
+        labels = (values > rng.choice(pool)) ^ (rng.random(n) < 0.05)
+    else:
+        labels = np.full(n, mode == "positive")
+    return values, labels, draw(st.integers(0, 4))
+
+
+class TestMDLParity:
+    """The array MDL scan ≡ the per-boundary scalar loop (learn_oracles)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mdl_inputs())
+    def test_edges_match_scalar_loop(self, case):
+        values, labels, max_depth = case
+        assert mdl_entropy_edges(values, labels, max_depth) == (
+            oracles.mdl_entropy_edges(values, labels, max_depth)
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_edges_match_on_larger_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5000
+        values = np.round(rng.gamma(2.0, 20.0, n), 0)
+        labels = (values > 60) & (rng.random(n) < 0.8) | (rng.random(n) < 0.05)
+        assert mdl_entropy_edges(values, labels) == oracles.mdl_entropy_edges(
+            values, labels
+        )
+
+    def test_exact_tie_keeps_first_boundary(self):
+        # Mirror-symmetric: +, -, + blocks; cutting after the first block
+        # or before the last has exactly the same gain.
+        values, labels = _blocks([2, 0, 2], [0, 2, 0], scale=10)
+        assert _weighted_entropy(labels, 20) == _weighted_entropy(labels, 40)
+        assert mdl_entropy_edges(values, labels, max_depth=1) == [1.5]
+        assert oracles.mdl_entropy_edges(values, labels, max_depth=1) == [1.5]
+
+    def test_exact_tie_the_array_pass_breaks_the_other_way(self):
+        # Two different boundaries with exactly equal scalar gain, which
+        # the array entropy rounds in favour of the second one.
+        values, labels = _blocks([0, 1, 7], [4, 2, 2], scale=5)
+        assert _weighted_entropy(labels, 20) == _weighted_entropy(labels, 35)
+        assert mdl_entropy_edges(values, labels, max_depth=1) == [1.5]
+        assert oracles.mdl_entropy_edges(values, labels, max_depth=1) == [1.5]
+
+    def test_one_ulp_apart_keeps_the_larger_gain(self):
+        # The two best boundaries are mathematically tied (their entropies
+        # combine to the same value) but evaluate one ULP apart; the second
+        # boundary is the better one by that ULP.
+        values, labels = _blocks([0, 1, 2], [3, 3, 1], scale=10)
+        first, second = _weighted_entropy(labels, 30), _weighted_entropy(labels, 70)
+        assert np.nextafter(first, 0.0) == second
+        assert mdl_entropy_edges(values, labels, max_depth=1) == [2.5]
+        assert oracles.mdl_entropy_edges(values, labels, max_depth=1) == [2.5]
+
+    def test_near_tie_the_array_pass_ranks_the_other_way(self):
+        # Mathematically tied boundaries, a few ULPs apart in scalar
+        # arithmetic, which the array entropy orders the opposite way; the
+        # scalar re-score must still pick the second one.
+        values, labels = _blocks([18, 21, 24], [9, 4, 1], scale=5)
+        first, second = _weighted_entropy(labels, 135), _weighted_entropy(labels, 260)
+        assert 0 < first - second <= 16 * np.spacing(second)
+        assert mdl_entropy_edges(values, labels, max_depth=1) == [2.5]
+        assert oracles.mdl_entropy_edges(values, labels, max_depth=1) == [2.5]

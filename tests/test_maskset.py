@@ -165,6 +165,12 @@ class TestPackedHelpers:
             packed = pack_mask(mask)
             np.testing.assert_array_equal(unpack_masks(packed, n)[0], mask)
             assert popcount(packed)[0] == int(mask.sum())
+            # 64-bit words, row by row over a matrix (the beam search's form).
+            masks = rng.random((3, n)) < 0.4
+            words = pack_mask(masks, np.uint64)
+            assert words.dtype == np.uint64 and words.shape == (3, -(-n // 64))
+            np.testing.assert_array_equal(unpack_masks(words, n), masks)
+            np.testing.assert_array_equal(popcount(words), masks.sum(axis=1))
 
 
 class TestBatchDeltaEpsilonKernels:
