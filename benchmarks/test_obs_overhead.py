@@ -4,14 +4,10 @@ The observability contract is *always-on-cheap*: spans, stage
 histograms, and request counters stay enabled in production, so their
 cost must be provably small. At each workload scale of
 ``REPRO_OBS_BENCH_SCALES`` (default ``1`` — the tier-1 smoke; CI runs
-``1,10``) this benchmark times warm partitioned ``debug()`` calls with
-the kill switch on and off, **interleaved** A/B so clock drift and
-cache-warming cancel, and asserts the median enabled run is within 5%
-of the median disabled run.
-
-The partitioned backend is used deliberately: it exercises the densest
-instrumentation (per-stage spans *and* per-partition block timing), so
-the bound it proves covers the worst case.
+``1,10``) this benchmark times warm ``debug()`` calls on the default
+pipeline with the kill switch on and off, **interleaved** A/B so clock
+drift and cache-warming cancel, and asserts the median enabled run is
+within 5% of the median disabled run.
 
 Results land in ``BENCH_obs.json`` at the repo root (a CI artifact),
 one section per scale.
@@ -27,7 +23,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import PipelineConfig
 from repro.data import IntelConfig, generate_intel
 from repro.db import Database
 from repro.frontend import Brush, DBWipesSession
@@ -65,9 +60,7 @@ def _intel_session(scale: int) -> DBWipesSession:
     )
     db = Database()
     db.register(table)
-    session = DBWipesSession(
-        db, PipelineConfig(backend="partitioned", n_partitions=4)
-    )
+    session = DBWipesSession(db)
     result = session.execute(BOOTSTRAP)
     std = np.asarray(result.column("std_temp"), dtype=float)
     cutoff = 4.0 * float(np.median(std[np.isfinite(std)]))
@@ -124,8 +117,6 @@ class TestObsOverhead:
             "scale": scale,
             "rows": 54 * (BASE_MINUTES * scale) // 2,
             "n_rounds": N_ROUNDS,
-            "backend": "partitioned",
-            "n_partitions": 4,
             "spans_per_debug": spans_per_debug,
             "enabled_seconds_median": enabled_median,
             "disabled_seconds_median": disabled_median,

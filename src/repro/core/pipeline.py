@@ -4,17 +4,18 @@
 
     Query, S, D', ε ──> Preprocessor ──> Dataset Enumerator
                        ──> Predicate Enumerator ──> Predicate Ranker
-                       ──> ranked predicates
+                       ──> (optional Merger) ──> ranked predicates
 
-Each stage's wall-clock time is recorded in the report for the scaling
-benchmarks. The physical execution strategy lives behind
-:mod:`~repro.core.backend` (``PipelineConfig.backend`` selects it);
-``RankedProvenance`` is the stable facade the frontend and service tiers
+Every stage runs over the whole table in this process. Each stage's
+wall-clock time is recorded in the report for the scaling benchmarks,
+and each opens a ``stage.*`` span under one ``pipeline.debug`` span.
+``RankedProvenance`` is the facade the frontend and service tiers
 program against.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,11 +23,14 @@ import numpy as np
 
 from ..db.result import ResultSet
 from ..learn.subgroup import SubgroupDiscovery
-from .backend import make_backend
+from ..obs.flags import enabled as obs_enabled
+from ..obs.metrics import registry as obs_registry
+from ..obs.trace import span as obs_span
+from .enumerator import DatasetEnumerator
 from .error_metrics import ErrorMetric
-from .predicates import DEFAULT_STRATEGIES, TreeStrategy
-from .preprocessor import PreprocessCache
-from .ranker import RankerWeights
+from .predicates import DEFAULT_STRATEGIES, PredicateEnumerator, TreeStrategy
+from .preprocessor import PreprocessCache, Preprocessor
+from .ranker import PredicateRanker, RankerWeights
 from .report import DebugReport
 
 
@@ -68,13 +72,6 @@ class PipelineConfig:
     subgroup: SubgroupDiscovery | None = None
     #: Random seed shared by all stochastic stages.
     seed: int = 0
-    #: Execution backend: "in_process" (one pass over the whole table)
-    #: or "partitioned" (scatter-gather over group-aligned row blocks;
-    #: byte-identical output per the parity contract).
-    backend: str = "in_process"
-    #: Scatter fan-out of the partitioned backend (ignored by
-    #: "in_process"; 1 degenerates to a single block).
-    n_partitions: int = 1
 
 
 class RankedProvenance:
@@ -92,15 +89,46 @@ class RankedProvenance:
         config: PipelineConfig | None = None,
         preprocess_cache: "PreprocessCache | None" = None,
     ):
-        self.config = config or PipelineConfig()
-        #: The execution backend running the five stages (see
-        #: :mod:`~repro.core.backend`). ``config.backend`` selects it.
-        self.backend = make_backend(self.config, preprocess_cache=preprocess_cache)
+        self.config = config = config or PipelineConfig()
+        self._preprocessor = Preprocessor(
+            fast_influence=config.fast_influence, cache=preprocess_cache
+        )
+        self._enumerator = DatasetEnumerator(
+            clean_strategy=config.clean_strategy,
+            extend=config.extend_with_subgroups,
+            influence_quantile=config.influence_quantile,
+            subgroup=config.subgroup,
+            feature_columns=config.feature_columns,
+            max_candidates=config.max_candidates,
+            seed=config.seed,
+        )
+        self._predicates = PredicateEnumerator(
+            strategies=config.strategies,
+            feature_columns=config.feature_columns,
+            min_precision=config.min_precision,
+            weight_by_influence=config.weight_by_influence,
+            tree_algorithm=config.tree_algorithm,
+            seed=config.seed,
+        )
+        self._ranker = PredicateRanker(
+            weights=config.ranker_weights,
+            max_terms=config.max_terms,
+            algorithm=config.score_algorithm,
+        )
+        self._merger = None
+        if config.merge_predicates:
+            from .merger import PredicateMerger
+
+            self._merger = PredicateMerger(
+                weights=config.ranker_weights,
+                max_terms=config.max_terms,
+                algorithm=config.score_algorithm,
+            )
 
     @property
     def preprocess_cache(self) -> PreprocessCache | None:
         """The shared preprocess cache, when one is attached."""
-        return self.backend.preprocess_cache
+        return self._preprocessor.cache
 
     def debug(
         self,
@@ -117,13 +145,70 @@ class RankedProvenance:
         the suspicious output rows S, the error metric ε, the optional
         suspicious input examples D', and which aggregate column to debug.
         ``on_partial(stage, ranked)`` streams intermediate ranked lists
-        (post-rank, then per merge round) without changing the result.
+        (once after the rank stage, then once per surviving merge round)
+        so a front end can push early answers. The hook observes snapshot
+        copies only; the report is identical either way.
         """
-        return self.backend.debug(
-            result,
-            selected_rows,
-            metric,
-            dprime_tids=dprime_tids,
-            agg_name=agg_name,
-            on_partial=on_partial,
+        timings: dict[str, float] = {}
+
+        with obs_span("pipeline.debug"):
+            start = time.perf_counter()
+            with obs_span("stage.preprocess"):
+                pre = self._preprocessor.run(
+                    result, selected_rows, metric, agg_name=agg_name
+                )
+            timings["preprocess"] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            with obs_span("stage.enumerate_datasets"):
+                candidates = self._enumerator.run(pre, dprime_tids)
+            timings["enumerate_datasets"] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            with obs_span("stage.enumerate_predicates"):
+                candidate_rules = self._predicates.run(pre, candidates)
+            timings["enumerate_predicates"] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            with obs_span("stage.rank"):
+                ranked = self._ranker.run(pre, candidates, candidate_rules)
+            timings["rank"] = time.perf_counter() - start
+            if on_partial is not None:
+                on_partial("rank", list(ranked))
+
+            if self._merger is not None:
+                start = time.perf_counter()
+                with obs_span("stage.merge"):
+                    ranked = self._merger.run(
+                        pre,
+                        candidates,
+                        ranked,
+                        on_round=(
+                            None
+                            if on_partial is None
+                            else lambda rs: on_partial("merge", rs)
+                        ),
+                    )
+                timings["merge"] = time.perf_counter() - start
+
+        if obs_enabled():
+            reg = obs_registry()
+            reg.counter(
+                "dbwipes_debugs_total", help="Pipeline debug() executions."
+            ).inc()
+            for stage, seconds in timings.items():
+                reg.histogram(
+                    "dbwipes_stage_seconds",
+                    labels={"stage": stage},
+                    help="Wall seconds per pipeline stage.",
+                ).observe(seconds)
+        return DebugReport(
+            predicates=tuple(ranked),
+            epsilon=pre.epsilon,
+            metric_description=metric.describe(),
+            selected_rows=pre.selected_rows,
+            n_inputs=len(pre.F),
+            n_dprime=len(np.asarray(list(dprime_tids), dtype=np.int64)),
+            n_candidates=len(candidates),
+            timings=timings,
         )

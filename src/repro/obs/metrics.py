@@ -405,8 +405,6 @@ CORE_METRICS = (
     "dbwipes_slow_requests_total",
     "dbwipes_debugs_total",
     "dbwipes_stage_seconds",
-    "dbwipes_partition_blocks_total",
-    "dbwipes_partition_block_seconds",
     # Fault tolerance (PR 10) — registered at construction time by the
     # RoutingDispatcher (failovers/breaker/drains) and SessionManager
     # (recoveries), so they expose at zero before any fault occurs.

@@ -1,11 +1,23 @@
 """Tests for the conference-demo CLI shell."""
 
 import io
+import os
+import re
 
 import numpy as np
 import pytest
 
-from repro.cli import BOOTSTRAP_QUERIES, SCRIPTS, DemoShell, load_dataset, main
+from repro.cli import (
+    BOOTSTRAP_QUERIES,
+    SCRIPTS,
+    SERVE_SWITCHES,
+    SERVE_VALUE_FLAGS,
+    DemoShell,
+    _check_flags,
+    load_dataset,
+    main,
+    serve_main,
+)
 from repro.db import Database
 from repro.errors import ReproError
 from repro.frontend import Brush
@@ -142,3 +154,94 @@ class TestDatasetsAndMain:
         out = capsys.readouterr().out
         assert "Ranked predicates" in out
         assert "applied: NOT" in out
+
+
+class TestServeFlags:
+    """``serve`` refuses flags it does not know before starting anything."""
+
+    @pytest.fixture
+    def no_server(self, monkeypatch):
+        """Fail loudly if serve_main gets as far as building a server."""
+        import repro.service as service
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serve_main built a server for bad flags")
+
+        for name in ("AsyncDBWipesServer", "DBWipesServer", "SessionManager"):
+            monkeypatch.setattr(service, name, refuse)
+        monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
+        monkeypatch.delenv("REPRO_SLOW_REQUEST_SECONDS", raising=False)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--wokers", "2"], "unknown flag '--wokers'"),
+            (["--backend", "partitioned"], "unknown flag '--backend'"),
+            (["--partitions", "4"], "unknown flag '--partitions'"),
+            (["stray"], "unknown flag 'stray'"),
+            (["--port"], "flag --port needs a value"),
+            (["--data-dir", "--async"], "flag --data-dir needs a value"),
+            (["--workers", "-1"], "--workers must be >= 0"),
+        ],
+    )
+    def test_bad_flags_exit_2(self, no_server, capsys, argv, message):
+        argv = ["--slow-threshold", "0.5", "--data-dir", "/nonexistent"] + argv
+        assert serve_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        # Rejected before any environment variable is exported.
+        assert "REPRO_DATA_DIR" not in os.environ
+        assert "REPRO_SLOW_REQUEST_SECONDS" not in os.environ
+
+    def test_unknown_flag_via_main(self, no_server, capsys):
+        assert main(["serve", "--wokers", "2"]) == 2
+        assert "error: unknown flag '--wokers'" in capsys.readouterr().err
+
+    def test_every_documented_flag_is_accepted(self):
+        documented = set(re.findall(r"``(--[a-z-]+)", serve_main.__doc__))
+        assert documented <= set(SERVE_VALUE_FLAGS) | set(SERVE_SWITCHES)
+        _check_flags(
+            ["--async", "--workers", "2", "--port", "0", "--data-dir", "D"],
+            SERVE_VALUE_FLAGS,
+            SERVE_SWITCHES,
+        )
+        argv = []
+        for flag in SERVE_VALUE_FLAGS:
+            argv += [flag, "1"]
+        _check_flags(argv + list(SERVE_SWITCHES), SERVE_VALUE_FLAGS, SERVE_SWITCHES)
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("connect", ["--session", "s", "--dataset", "fec", "--script"]),
+            ("metrics", ["--json"]),
+            ("drain", ["--worker", "0", "--deadline", "1", "--restart"]),
+        ],
+    )
+    def test_other_commands_keep_their_own_flags(
+        self, monkeypatch, capsys, command, argv
+    ):
+        import repro.service as service
+
+        class OfflineClient:
+            """Accepts construction; every call fails as if unreachable."""
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def close(self):
+                pass
+
+            def __getattr__(self, name):
+                def offline(*args, **kwargs):
+                    raise ReproError("offline")
+
+                return offline
+
+        monkeypatch.setattr(service, "ServiceClient", OfflineClient)
+        # Each command gets as far as calling the server: its flags parsed.
+        assert main([command, "--port", "1"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ")
+        assert "flag" not in err

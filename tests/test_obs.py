@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import BOOTSTRAP_QUERIES
-from repro.core import PipelineConfig
 from repro.errors import ObservabilityError
 from repro.obs import (
     CORE_METRICS,
@@ -266,17 +265,13 @@ class TestSlowRequestLog:
 
 @pytest.fixture(scope="module")
 def cluster_debug():
-    """One debug cycle through a 2-worker partitioned server.
+    """One debug cycle through a 2-worker server.
 
     Yields the trace, the cluster-merged metrics, and the session
     snapshot so the acceptance assertions below share one (relatively
     expensive) server boot.
     """
-    server = DBWipesServer(
-        port=0,
-        workers=2,
-        config=PipelineConfig(backend="partitioned", n_partitions=4),
-    )
+    server = DBWipesServer(port=0, workers=2)
     host, port = server.start()
     try:
         with ServiceClient(host, port, session="obs") as client:
@@ -316,16 +311,12 @@ class TestClusterAcceptance:
             "stage.enumerate_datasets",
             "stage.enumerate_predicates",
             "stage.rank",
-            "partition.block",
         ):
             assert needed in names, f"missing span {needed!r}"
         # One root (the front-end accept span), stages under the worker.
         tree = trace["tree"]
         assert len(tree) == 1
         assert tree[0]["name"] == "server.debug"
-        block_spans = [s for s in spans if s["name"] == "partition.block"]
-        assert len(block_spans) == 4
-        assert {s["attrs"]["index"] for s in block_spans} == {0, 1, 2, 3}
 
     def test_merged_metrics_cover_core_names(self, cluster_debug):
         merged = cluster_debug["metrics"]["merged"]
@@ -343,7 +334,6 @@ class TestClusterAcceptance:
                 )
         assert totals["dbwipes_preprocess_cache_misses_total"] >= 1
         assert totals["dbwipes_debugs_total"] >= 1
-        assert totals["dbwipes_partition_blocks_total"] >= 4
         # Requests counted at both roles, kept distinguishable by label.
         roles = {
             dict(m["labels"]).get("role")
@@ -368,12 +358,12 @@ class TestClusterAcceptance:
         text = render_prometheus(merged)
         assert 'dbwipes_stage_seconds_bucket{stage="rank",le="+Inf"}' in text
 
-    def test_partition_timings_in_snapshot(self, cluster_debug):
+    def test_stage_timings_in_snapshot(self, cluster_debug):
         timings = cluster_debug["snapshot"]["timings"]
-        partition = timings["partition"]
-        assert partition["blocks_timed"] >= 4
-        assert partition["block_seconds_total"] > 0
-        assert partition["block_seconds_max"] >= partition["block_seconds_mean"]
+        assert timings["debug_count"] == 1
+        stages = ("preprocess", "enumerate_datasets", "enumerate_predicates", "rank")
+        assert set(stages) <= set(timings["last"])
+        assert all(timings["total"][stage] > 0 for stage in stages)
 
     def test_registry_smoke_duplicate_kind_fails(self):
         # The CI registry smoke check: every core name must keep its
