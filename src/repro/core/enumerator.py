@@ -263,10 +263,11 @@ class DatasetEnumerator:
     @staticmethod
     def _dedupe(candidates: list[CandidateSet]) -> list[CandidateSet]:
         """Merge candidates with identical tid sets, keeping every rule."""
-        by_key: dict[frozenset, CandidateSet] = {}
-        order: list[frozenset] = []
+        by_key: dict[bytes, CandidateSet] = {}
+        order: list[bytes] = []
         for candidate in candidates:
-            key = frozenset(int(t) for t in candidate.tids)
+            # The sorted distinct tids identify the set (order and repeats aside).
+            key = np.unique(np.asarray(candidate.tids, dtype=np.int64)).tobytes()
             if not key:
                 continue
             existing = by_key.get(key)

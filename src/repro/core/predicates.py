@@ -17,10 +17,17 @@ All K candidate × S strategy fits consume one shared
 sorted orderings, candidate thresholds, and bin codes are derived once
 per debug cycle — and, in the service, once per *cached preprocessing*,
 shared across sessions.
+
+Strategies that differ only in how they prune share one tree: a full-F
+tree is grown once per (criterion, max depth, min leaf size) and
+candidate, and cost-complexity pruning (``ccp``) prunes a copy of the
+tree that the unpruned strategy of the same criterion grew. Reduced-error
+pruning (``rep``) grows its own tree on a training subset.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,10 +127,11 @@ class PredicateEnumerator:
             if not labels.any() or labels.all():
                 continue
             rules: list[Rule] = list(candidate.rules)
+            grown: dict[tuple, DecisionTree] = {}
             for strategy in self.strategies:
                 rules.extend(
                     self._tree_rules(
-                        F, labels, weights, features, strategy, split_index
+                        F, labels, weights, features, strategy, split_index, grown
                     )
                 )
             for rule in dedupe_rules(rules):
@@ -131,6 +139,16 @@ class PredicateEnumerator:
         return out
 
     # ------------------------------------------------------------------
+
+    def _new_tree(self, strategy: TreeStrategy) -> DecisionTree:
+        return DecisionTree(
+            criterion=strategy.criterion,
+            max_depth=strategy.max_depth,
+            min_samples_leaf=strategy.min_samples_leaf,
+            max_thresholds=self.max_thresholds,
+            max_categories=self.max_categories,
+            algorithm=self.tree_algorithm,
+        )
 
     def _tree_rules(
         self,
@@ -140,28 +158,32 @@ class PredicateEnumerator:
         features: list[str],
         strategy: TreeStrategy,
         split_index: SplitIndex,
+        grown: dict[tuple, DecisionTree],
     ) -> list[Rule]:
-        tree = DecisionTree(
-            criterion=strategy.criterion,
-            max_depth=strategy.max_depth,
-            min_samples_leaf=strategy.min_samples_leaf,
-            max_thresholds=self.max_thresholds,
-            max_categories=self.max_categories,
-            algorithm=self.tree_algorithm,
-        )
-        if strategy.prune == "rep":
-            train_idx, val_idx = self._split_indices(len(F), labels)
-            if len(val_idx) == 0 or not labels[train_idx].any():
-                tree.fit(
+        """One strategy's rules; ``grown`` memoizes this candidate's
+        unpruned full-F trees by growth parameters (never mutated)."""
+
+        def full_tree() -> DecisionTree:
+            key = (strategy.criterion, strategy.max_depth, strategy.min_samples_leaf)
+            tree = grown.get(key)
+            if tree is None:
+                tree = self._new_tree(strategy).fit(
                     F,
                     labels,
                     sample_weight=weights,
                     features=features,
                     split_index=split_index,
                 )
+                grown[key] = tree
+            return tree
+
+        if strategy.prune == "rep":
+            train_idx, val_idx = self._split_indices(len(F), labels)
+            if len(val_idx) == 0 or not labels[train_idx].any():
+                tree = full_tree()
             else:
                 train_w = weights[train_idx] if weights is not None else None
-                tree.fit(
+                tree = self._new_tree(strategy).fit(
                     F.take(train_idx),
                     labels[train_idx],
                     sample_weight=train_w,
@@ -169,16 +191,11 @@ class PredicateEnumerator:
                     split_index=split_index.take(train_idx),
                 )
                 tree.prune_reduced_error(F.take(val_idx), labels[val_idx])
+        elif strategy.prune == "ccp":
+            tree = copy.deepcopy(full_tree())
+            tree.cost_complexity_prune(strategy.ccp_alpha)
         else:
-            tree.fit(
-                F,
-                labels,
-                sample_weight=weights,
-                features=features,
-                split_index=split_index,
-            )
-            if strategy.prune == "ccp":
-                tree.cost_complexity_prune(strategy.ccp_alpha)
+            tree = full_tree()
         rules = tree.positive_rules(min_precision=self.min_precision)
         return [
             Rule(

@@ -131,8 +131,12 @@ def _pairwise_sq(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diffs, diffs)
 
 
-def silhouette(X: np.ndarray, labels: np.ndarray, max_points: int = 512,
-               seed: int = 0) -> float:
+#: Points scored by the silhouette; larger inputs are subsampled.
+SILHOUETTE_MAX_POINTS = 512
+
+
+def silhouette(X: np.ndarray, labels: np.ndarray,
+               max_points: int = SILHOUETTE_MAX_POINTS, seed: int = 0) -> float:
     """Mean silhouette coefficient (subsampled beyond ``max_points``).
 
     Returns 0.0 when there are fewer than 2 clusters or 3 points, where
@@ -140,36 +144,58 @@ def silhouette(X: np.ndarray, labels: np.ndarray, max_points: int = 512,
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    unique = np.unique(labels)
-    if len(unique) < 2 or len(X) < 3:
+    if len(np.unique(labels)) < 2 or len(X) < 3:
         return 0.0
-    if len(X) > max_points:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(X), size=max_points, replace=False)
+    picks = _silhouette_picks(len(X), max_points, seed)
+    if picks is not None:
         X = X[picks]
         labels = labels[picks]
-        unique = np.unique(labels)
-        if len(unique) < 2:
-            return 0.0
+    return _silhouette_score(_pairwise_distances(X), labels)
+
+
+def _silhouette_picks(n: int, max_points: int, seed: int) -> np.ndarray | None:
+    """The rows the silhouette scores (None = all); depends on n and seed only."""
+    if n <= max_points:
+        return None
+    rng = np.random.default_rng(seed)
+    return rng.choice(n, size=max_points, replace=False)
+
+
+def _pairwise_distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between all pairs of rows, shape (n, n)."""
     diffs = X[:, None, :] - X[None, :, :]
-    distances = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    scores = np.zeros(len(X))
-    for i in range(len(X)):
-        own = labels[i]
-        own_mask = labels == own
-        n_own = own_mask.sum()
-        if n_own <= 1:
-            scores[i] = 0.0
-            continue
-        a = distances[i][own_mask].sum() / (n_own - 1)
-        b = np.inf
-        for other in unique:
-            if other == own:
-                continue
-            other_mask = labels == other
-            b = min(b, distances[i][other_mask].mean())
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+
+
+def _silhouette_score(distances: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette of points with all-pairs ``distances``."""
+    unique = np.unique(labels)
+    if len(unique) < 2:
+        return 0.0
+    n = len(labels)
+    sizes = np.empty(len(unique), dtype=np.int64)
+    # sums[i, j]: total distance from point i to the members of cluster j.
+    # compress() gathers a C-contiguous block, so each row sum adds the
+    # same elements in the same (pairwise) order as a per-point
+    # ``distances[i][members].sum()``; the strided ``distances[:, members]``
+    # would not, and differs from it by a few ULPs.
+    sums = np.empty((n, len(unique)), dtype=np.float64)
+    for j, cluster in enumerate(unique):
+        members = labels == cluster
+        sizes[j] = members.sum()
+        sums[:, j] = distances.compress(members, axis=1).sum(axis=1)
+    rows = np.arange(n)
+    own = np.searchsorted(unique, labels)
+    n_own = sizes[own]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, own] / (n_own - 1)
+        means = sums / sizes
+        means[rows, own] = np.inf
+        # Nearest other cluster; fmin skips NaN like a running builtin min.
+        b = np.fmin.reduce(means, axis=1)
+        denom = np.maximum(a, b)
+        scores = np.where(denom == 0, 0.0, (b - a) / denom)
+    scores[n_own <= 1] = 0.0
     return float(scores.mean())
 
 
@@ -183,17 +209,36 @@ def choose_k(
     blob", which for D' cleaning means keep everything.
     """
     X = np.asarray(X, dtype=np.float64)
+    return _choose_k(X, k_values, seed, min_silhouette)[0]
+
+
+def _choose_k(
+    X: np.ndarray, k_values: tuple[int, ...] = (2, 3, 4), seed: int = 0,
+    min_silhouette: float = 0.5,
+) -> tuple[int, KMeansResult | None]:
+    """:func:`choose_k` plus the winning fit (None when k = 1).
+
+    The silhouette subsample depends only on ``len(X)`` and ``seed``, so
+    its distance matrix is built once and scored against every k.
+    """
     best_k = 1
     best_score = min_silhouette
+    best_fit: KMeansResult | None = None
+    picks = _silhouette_picks(len(X), SILHOUETTE_MAX_POINTS, seed)
+    distances: np.ndarray | None = None
     for k in k_values:
         if len(X) < max(k * 2, 3):
             continue
         result = kmeans(X, k, seed=seed)
-        score = silhouette(X, result.labels, seed=seed)
+        labels = result.labels if picks is None else result.labels[picks]
+        if distances is None:
+            distances = _pairwise_distances(X if picks is None else X[picks])
+        score = _silhouette_score(distances, labels)
         if score > best_score:
             best_score = score
             best_k = k
-    return best_k
+            best_fit = result
+    return best_k, best_fit
 
 
 def dominant_cluster_mask(X: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -208,10 +253,9 @@ def dominant_cluster_mask(X: np.ndarray, seed: int = 0) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     Z, __, __ = standardize(X)
     Z = np.nan_to_num(Z, nan=0.0)
-    k = choose_k(Z, seed=seed)
-    if k <= 1:
+    __, result = _choose_k(Z, seed=seed)
+    if result is None:
         return np.ones(len(X), dtype=bool)
-    result = kmeans(Z, k, seed=seed)
     sizes = result.cluster_sizes()
     dominant = int(np.argmax(sizes))
     return result.labels == dominant

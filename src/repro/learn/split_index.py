@@ -31,12 +31,19 @@ histogram-tree tradeoff (LightGBM-style binning), accepted in exchange
 for O(n + bins) node scoring and sharing the derivation across all
 fits; raise ``max_thresholds`` to recover resolution where it matters.
 
+The codes of all columns live in one ``(n_features × n_rows)`` matrix,
+:attr:`SplitIndex.codes`; each column's ``codes`` is a (contiguous) view
+of its row. Shifted by per-feature bin offsets, the matrix numbers every
+bin of every feature uniquely, so one gather and one ``bincount`` give a
+tree node the histograms of all its features at once.
+
 The index is row-aligned with the table it was built from;
 :meth:`SplitIndex.take` re-aligns it with a row subset (e.g. the train
-split of reduced-error pruning). In the pipeline the index is memoized
-on :class:`~repro.core.preprocessor.PreprocessResult`, so the service
-tier shares one index across sessions exactly like the segmented
-aggregates and frequency edges.
+split of reduced-error pruning) by one ``np.take`` of the matrix. In
+the pipeline the index is memoized on
+:class:`~repro.core.preprocessor.PreprocessResult`, so the service tier
+shares one index across sessions exactly like the segmented aggregates
+and frequency edges.
 """
 
 from __future__ import annotations
@@ -78,9 +85,9 @@ class NumericColumnIndex:
         """The bin code whose left partition is ``value <= threshold``."""
         return int(np.searchsorted(self.thresholds, threshold, side="left"))
 
-    def take(self, indices: np.ndarray) -> "NumericColumnIndex":
-        """The index re-aligned with a row subset."""
-        return NumericColumnIndex(self.attr, self.thresholds, self.codes[indices])
+    def with_codes(self, codes: np.ndarray) -> "NumericColumnIndex":
+        """The same thresholds over other per-row codes."""
+        return NumericColumnIndex(self.attr, self.thresholds, codes)
 
 
 class CategoricalColumnIndex:
@@ -105,9 +112,9 @@ class CategoricalColumnIndex:
         """The code of a distinct value."""
         return self._code_by_value[value]
 
-    def take(self, indices: np.ndarray) -> "CategoricalColumnIndex":
-        """The index re-aligned with a row subset."""
-        return CategoricalColumnIndex(self.attr, self.values, self.codes[indices])
+    def with_codes(self, codes: np.ndarray) -> "CategoricalColumnIndex":
+        """The same distinct values over other per-row codes."""
+        return CategoricalColumnIndex(self.attr, self.values, codes)
 
 
 ColumnIndex = NumericColumnIndex | CategoricalColumnIndex
@@ -116,19 +123,29 @@ ColumnIndex = NumericColumnIndex | CategoricalColumnIndex
 class SplitIndex:
     """Per-column split candidates + bin codes, shared across tree fits."""
 
-    __slots__ = ("features", "max_thresholds", "columns", "n_rows")
+    __slots__ = ("features", "max_thresholds", "columns", "codes")
 
     def __init__(
         self,
         features: tuple[str, ...],
         max_thresholds: int,
         columns: Mapping[str, ColumnIndex],
-        n_rows: int,
+        codes: np.ndarray,
     ):
         self.features = features
         self.max_thresholds = max_thresholds
-        self.columns = dict(columns)
-        self.n_rows = n_rows
+        #: ``(n_features × n_rows)`` bin codes, row j for ``features[j]``;
+        #: every column's ``codes`` is a view of its row.
+        self.codes = codes
+        self.columns = {
+            name: columns[name].with_codes(codes[j])
+            for j, name in enumerate(features)
+        }
+
+    @property
+    def n_rows(self) -> int:
+        """Number of rows the index is aligned with."""
+        return self.codes.shape[1]
 
     @classmethod
     def build(
@@ -148,16 +165,19 @@ class SplitIndex:
             raise LearnError("max_thresholds must be >= 1")
         names = tuple(features) if features is not None else tuple(table.schema.names)
         columns: dict[str, ColumnIndex] = {}
-        for name in names:
+        codes = np.empty((len(names), len(table)), dtype=np.int64)
+        for j, name in enumerate(names):
             if table.schema.type_of(name).is_numeric:
                 if numeric_values is not None:
                     values = numeric_values(name)
                 else:
                     values = np.asarray(table.column(name), dtype=np.float64)
-                columns[name] = _build_numeric(name, values, max_thresholds)
+                column = _build_numeric(name, values, max_thresholds)
             else:
-                columns[name] = _build_categorical(name, table.column(name))
-        return cls(names, max_thresholds, columns, len(table))
+                column = _build_categorical(name, table.column(name))
+            codes[j] = column.codes
+            columns[name] = column
+        return cls(names, max_thresholds, columns, codes)
 
     def column(self, attr: str) -> ColumnIndex:
         """The per-column index for ``attr``."""
@@ -169,8 +189,12 @@ class SplitIndex:
     def take(self, indices: np.ndarray) -> "SplitIndex":
         """The index re-aligned with a row subset (shared thresholds)."""
         indices = np.asarray(indices, dtype=np.int64)
-        columns = {name: column.take(indices) for name, column in self.columns.items()}
-        return SplitIndex(self.features, self.max_thresholds, columns, len(indices))
+        return SplitIndex(
+            self.features,
+            self.max_thresholds,
+            self.columns,
+            np.take(self.codes, indices, axis=1),
+        )
 
 
 def _build_numeric(

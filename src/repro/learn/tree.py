@@ -18,8 +18,14 @@ Split finding runs in one of two algorithms over a shared
 :class:`~repro.learn.split_index.SplitIndex` of candidate thresholds:
 
 * ``"hist"`` (default): per node, accumulate per-bin weight /
-  positive-weight / count histograms (weighted ``np.bincount``) and
-  score **every** threshold of a column in one ``cumsum`` pass;
+  positive-weight / count histograms of every feature at once (three
+  ``np.bincount`` calls over the index's offset codes) and score
+  **every** threshold of a column in one ``cumsum`` pass. A split
+  counts only its smaller child; the larger child's histograms are the
+  parent's minus the smaller's whenever that subtraction is exact
+  (integral weights summing below 2**53, e.g. the default unit
+  weights), the trick LightGBM uses. Otherwise both children count
+  their own rows;
 * ``"exact"``: the reference per-threshold masking path — one boolean
   mask and one weight reduction per candidate threshold. It scores the
   identical candidate set, so ``tests/test_tree_parity.py`` can assert
@@ -163,11 +169,19 @@ class _Node:
         self.right = None
 
 
+#: Histograms of one node: per-bin (count, weight, positive weight), the
+#: bins of every feature concatenated in the fit's feature order.
+Histograms = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class _FitContext:
     """Everything one ``fit`` needs, bundled so ``_build`` recursion and
     the parity tests can drive split finding without re-deriving state."""
 
-    __slots__ = ("labels", "weights", "index", "arrays", "algorithm")
+    __slots__ = (
+        "labels", "weights", "pos_weights", "index", "arrays", "algorithm",
+        "codes", "offsets", "bounds", "subtract",
+    )
 
     def __init__(
         self,
@@ -176,14 +190,71 @@ class _FitContext:
         index: SplitIndex,
         arrays: dict[str, np.ndarray] | None,
         algorithm: str,
+        features: tuple[str, ...],
     ):
         self.labels = labels
         self.weights = weights
+        self.pos_weights = np.where(labels, weights, 0.0)
         self.index = index
         #: Raw column arrays; only materialized for the exact algorithm
         #: (the histogram path routes rows purely through bin codes).
         self.arrays = arrays
         self.algorithm = algorithm
+        #: The index's code rows of ``features``, in the fit's feature order.
+        self.codes = index.codes
+        if features != index.features:
+            rows = [index.features.index(name) for name in features]
+            self.codes = index.codes[rows]
+        bins = [index.column(name).n_bins for name in features]
+        self.offsets = np.concatenate(([0], np.cumsum(bins, dtype=np.int64)))
+        #: ``(first, end)`` bin of each feature within a node's histograms.
+        self.bounds = list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
+        #: Whether parent − child histograms equal a direct count: float
+        #: sums of integers are exact (and order-free) below 2**53.
+        self.subtract = bool(
+            np.all(weights == np.floor(weights)) and weights.sum() < 2.0**53
+        )
+
+    def histograms(self, indices: np.ndarray) -> Histograms:
+        """Every feature's histograms over the rows ``indices``.
+
+        NaN/NULL rows land in each feature's rightmost bin by
+        construction of the codes.
+        """
+        # np.take is several times faster than fancy indexing here.
+        codes = np.take(self.codes, indices, axis=1)
+        codes += self.offsets[:-1, None]
+        n_features = len(codes)
+        flat = codes.ravel()
+        n_bins = int(self.offsets[-1])
+        # Each bin belongs to one feature and accumulates that feature's
+        # rows in row order: the same float-sum order as the exact path's
+        # per-value accumulation, which the tie-break parity relies on.
+        hist_n = np.bincount(flat, minlength=n_bins)
+        hist_w = np.bincount(
+            flat, weights=np.tile(self.weights[indices], n_features),
+            minlength=n_bins,
+        )
+        hist_p = np.bincount(
+            flat, weights=np.tile(self.pos_weights[indices], n_features),
+            minlength=n_bins,
+        )
+        return hist_n, hist_w, hist_p
+
+    def child_histograms(
+        self, hists: Histograms, left: np.ndarray, right: np.ndarray
+    ) -> tuple[Histograms | None, Histograms | None]:
+        """Both children's histograms from one count of the smaller child.
+
+        Returns ``(None, None)`` when subtraction is not exact; each child
+        then counts its own rows if it needs them.
+        """
+        if not self.subtract:
+            return None, None
+        left_is_small = len(left) <= len(right)
+        small = self.histograms(left if left_is_small else right)
+        large = tuple(parent - part for parent, part in zip(hists, small))
+        return (small, large) if left_is_small else (large, small)
 
 
 class DecisionTree:
@@ -297,10 +368,18 @@ class DecisionTree:
         arrays = None
         if self.algorithm == "exact":
             arrays = {name: table.column(name) for name in self._features}
-        ctx = _FitContext(labels, weights, split_index, arrays, self.algorithm)
+        ctx = _FitContext(
+            labels, weights, split_index, arrays, self.algorithm, self._features
+        )
         return ctx, len(table)
 
-    def _build(self, ctx: _FitContext, indices: np.ndarray, depth: int) -> _Node:
+    def _build(
+        self,
+        ctx: _FitContext,
+        indices: np.ndarray,
+        depth: int,
+        hists: Histograms | None = None,
+    ) -> _Node:
         node_weights = ctx.weights[indices]
         node_labels = ctx.labels[indices]
         weight = float(node_weights.sum())
@@ -313,7 +392,9 @@ class DecisionTree:
             or pos_weight >= weight
         ):
             return node
-        best = self._best_split(ctx, indices)
+        if hists is None and ctx.algorithm == "hist":
+            hists = ctx.histograms(indices)
+        best = self._best_split(ctx, indices, hists)
         if best is None:
             return node
         split, score = best
@@ -328,8 +409,13 @@ class DecisionTree:
         ):
             return node
         node.split = split
-        node.left = self._build(ctx, left_indices, depth + 1)
-        node.right = self._build(ctx, right_indices, depth + 1)
+        left_hists = right_hists = None
+        if hists is not None and depth + 1 < self.max_depth:
+            left_hists, right_hists = ctx.child_histograms(
+                hists, left_indices, right_indices
+            )
+        node.left = self._build(ctx, left_indices, depth + 1, left_hists)
+        node.right = self._build(ctx, right_indices, depth + 1, right_hists)
         return node
 
     def _left_mask(
@@ -345,21 +431,31 @@ class DecisionTree:
         return codes == column.code_of(split.value)
 
     def _best_split(
-        self, ctx: _FitContext, indices: np.ndarray
+        self,
+        ctx: _FitContext,
+        indices: np.ndarray,
+        hists: Histograms | None = None,
     ) -> tuple[Split, float] | None:
         node_labels = ctx.labels[indices]
         node_weights = ctx.weights[indices]
         total_w = float(node_weights.sum())
         total_pos = float(node_weights[node_labels].sum())
-        pos_weights = np.where(node_labels, node_weights, 0.0)
+        n_node = len(indices)
+        if ctx.algorithm == "hist":
+            if hists is None:
+                hists = ctx.histograms(indices)
+            hist_n, hist_w, hist_p = hists
+        else:
+            pos_weights = ctx.pos_weights[indices]
         #: (split, score, intra-column tie key) per feature.
         found: list[tuple[Split, float, Any]] = []
-        for attr in self._features:
+        for attr, (lo, hi) in zip(self._features, ctx.bounds):
             column = ctx.index.column(attr)
             if self._numeric[attr]:
                 if ctx.algorithm == "hist":
                     candidate = self._best_numeric_split_hist(
-                        column, indices, node_weights, pos_weights, total_w, total_pos
+                        column, hist_n[lo:hi], hist_w[lo:hi], hist_p[lo:hi],
+                        n_node, total_w, total_pos,
                     )
                 else:
                     candidate = self._best_numeric_split_exact(
@@ -373,7 +469,8 @@ class DecisionTree:
             else:
                 if ctx.algorithm == "hist":
                     candidate = self._best_categorical_split_hist(
-                        column, indices, node_weights, pos_weights, total_w, total_pos
+                        column, hist_n[lo:hi], hist_w[lo:hi], hist_p[lo:hi],
+                        n_node, total_w, total_pos,
                     )
                 else:
                     candidate = self._best_categorical_split_exact(
@@ -402,25 +499,22 @@ class DecisionTree:
     def _best_numeric_split_hist(
         self,
         column: NumericColumnIndex,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        pos_weights: np.ndarray,
+        hist_n: np.ndarray,
+        hist_w: np.ndarray,
+        hist_p: np.ndarray,
+        n_node: int,
         total_w: float,
         total_pos: float,
     ) -> tuple[Split, float, float] | None:
-        """Score all thresholds in one binned cumulative-sum pass."""
+        """Score all thresholds of the column's histograms in one cumsum pass."""
         n_thresholds = len(column.thresholds)
         if n_thresholds == 0:
             return None
-        codes, hist_n, hist_w, hist_p = _node_histograms(
-            column, indices, weights, pos_weights
-        )
         # Left stats of threshold b are the cumulative sums of bins 0..b
         # (NaN rows live in the rightmost bin, so they never count left).
         left_n = np.cumsum(hist_n)[:n_thresholds]
         left_w = np.cumsum(hist_w)[:n_thresholds]
         left_p = np.cumsum(hist_p)[:n_thresholds]
-        n_node = len(codes)
         valid = (left_n >= self.min_samples_leaf) & (
             (n_node - left_n) >= self.min_samples_leaf
         )
@@ -439,19 +533,17 @@ class DecisionTree:
     def _best_categorical_split_hist(
         self,
         column: CategoricalColumnIndex,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        pos_weights: np.ndarray,
+        hist_n: np.ndarray,
+        hist_w: np.ndarray,
+        hist_p: np.ndarray,
+        n_node: int,
         total_w: float,
         total_pos: float,
     ) -> tuple[Split, float, int] | None:
-        """Score all candidate values from per-value histograms at once."""
+        """Score all candidate values from the column's histograms at once."""
         n_values = len(column.values)
         if n_values < 2:
             return None
-        codes, hist_n, hist_w, hist_p = _node_histograms(
-            column, indices, weights, pos_weights
-        )
         present = np.flatnonzero(hist_n[:n_values] > 0)
         if len(present) < 2:
             return None
@@ -460,7 +552,6 @@ class DecisionTree:
             order = np.lexsort((present, -hist_w[present]))
             present = np.sort(present[order[: self.max_categories]])
         left_n = hist_n[present]
-        n_node = len(codes)
         valid = (left_n >= self.min_samples_leaf) & (
             (n_node - left_n) >= self.min_samples_leaf
         )
@@ -821,28 +912,6 @@ class DecisionTree:
 
         walk(root, "")
         return "\n".join(lines)
-
-
-def _node_histograms(
-    column: NumericColumnIndex | CategoricalColumnIndex,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    pos_weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-bin (count, weight, positive-weight) histograms of one node.
-
-    Returns ``(codes, hist_n, hist_w, hist_p)``; NaN/NULL rows land in
-    the rightmost bin by construction of the column's codes.
-    """
-    codes = column.codes[indices]
-    n_bins = column.n_bins
-    hist_n = np.bincount(codes, minlength=n_bins)
-    # bincount accumulates weights sequentially in row order — the same
-    # float-sum order as the exact path's dict accumulation, which the
-    # tie-break parity relies on.
-    hist_w = np.bincount(codes, weights=weights, minlength=n_bins)
-    hist_p = np.bincount(codes, weights=pos_weights, minlength=n_bins)
-    return codes, hist_n, hist_w, hist_p
 
 
 def _lowest_tied(scores: np.ndarray) -> int:

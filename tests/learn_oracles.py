@@ -9,6 +9,12 @@ production code in ``repro.learn.discretize`` and
 tests in ``test_learn_metrics.py`` and ``test_subgroup.py`` compare the
 two. :class:`SubgroupOracle` inherits condition building and numeric
 discretization from the production class, so it isolates the search.
+
+``silhouette`` scores one point at a time, ``choose_k`` re-draws the
+subsample and rebuilds its distance matrix for every k, and
+``dominant_cluster_mask`` refits the winning k-means; they are the
+model-selection loop ``repro.learn.kmeans`` replaced, kept unchanged for
+the parity tests in ``test_kmeans_nb.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 from repro.db.predicate import Clause, Predicate
 from repro.db.table import Table
 from repro.errors import LearnError
+from repro.learn.kmeans import kmeans, standardize
 from repro.learn.metrics import entropy, wracc
 from repro.learn.rules import Rule, dedupe_rules
 from repro.learn.subgroup import SubgroupDiscovery, _Condition
@@ -257,3 +264,89 @@ class SubgroupOracle(SubgroupDiscovery):
                     best = entry
                     break
         return best
+
+
+def silhouette(X: np.ndarray, labels: np.ndarray, max_points: int = 512,
+               seed: int = 0) -> float:
+    """Mean silhouette coefficient (subsampled beyond ``max_points``).
+
+    Returns 0.0 when there are fewer than 2 clusters or 3 points, where
+    the coefficient is undefined.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    unique = np.unique(labels)
+    if len(unique) < 2 or len(X) < 3:
+        return 0.0
+    if len(X) > max_points:
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(X), size=max_points, replace=False)
+        X = X[picks]
+        labels = labels[picks]
+        unique = np.unique(labels)
+        if len(unique) < 2:
+            return 0.0
+    diffs = X[:, None, :] - X[None, :, :]
+    distances = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        own = labels[i]
+        own_mask = labels == own
+        n_own = own_mask.sum()
+        if n_own <= 1:
+            scores[i] = 0.0
+            continue
+        a = distances[i][own_mask].sum() / (n_own - 1)
+        b = np.inf
+        for other in unique:
+            if other == own:
+                continue
+            other_mask = labels == other
+            b = min(b, distances[i][other_mask].mean())
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())
+
+
+def choose_k(
+    X: np.ndarray, k_values: tuple[int, ...] = (2, 3, 4), seed: int = 0,
+    min_silhouette: float = 0.5,
+) -> int:
+    """Pick k by silhouette; returns 1 when no clustering is convincing.
+
+    A best silhouette below ``min_silhouette`` is read as "the data is one
+    blob", which for D' cleaning means keep everything.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    best_k = 1
+    best_score = min_silhouette
+    for k in k_values:
+        if len(X) < max(k * 2, 3):
+            continue
+        result = kmeans(X, k, seed=seed)
+        score = silhouette(X, result.labels, seed=seed)
+        if score > best_score:
+            best_score = score
+            best_k = k
+    return best_k
+
+
+def dominant_cluster_mask(X: np.ndarray, seed: int = 0) -> np.ndarray:
+    """The self-consistent-subset mask used to clean D'.
+
+    Standardizes, picks k by silhouette, clusters, and keeps the largest
+    cluster. If no multi-cluster structure is found (k = 1) every point is
+    kept.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if len(X) == 0:
+        return np.zeros(0, dtype=bool)
+    Z, __, __ = standardize(X)
+    Z = np.nan_to_num(Z, nan=0.0)
+    k = choose_k(Z, seed=seed)
+    if k <= 1:
+        return np.ones(len(X), dtype=bool)
+    result = kmeans(Z, k, seed=seed)
+    sizes = result.cluster_sizes()
+    dominant = int(np.argmax(sizes))
+    return result.labels == dominant

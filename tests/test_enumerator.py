@@ -119,6 +119,27 @@ class TestCandidates:
         assert len(merged) == 1
         assert set(r.source for r in merged[0].rules) == {"a", "b"}
 
+    def test_dedupe_keys_on_tid_sets_not_sequences(self):
+        rule_a = Rule(predicate=equals("x", 1.0), source="a")
+        rule_b = Rule(predicate=equals("x", 2.0), source="b")
+        rule_c = Rule(predicate=equals("x", 3.0), source="c")
+        merged = DatasetEnumerator._dedupe(
+            [
+                CandidateSet(tids=np.array([], dtype=np.int64), origin="empty"),
+                CandidateSet(tids=np.array([5, 2, 9]), origin="one", rules=(rule_a,)),
+                CandidateSet(tids=np.array([2, 7]), origin="two", rules=(rule_c,)),
+                # The same set as "one": unsorted, with repeats.
+                CandidateSet(
+                    tids=np.array([9, 2, 2, 5, 9]), origin="three", rules=(rule_b,)
+                ),
+            ]
+        )
+        # Empty sets are dropped; first-seen order and fields are kept.
+        assert [c.origin for c in merged] == ["one", "two"]
+        assert merged[0].tids.tolist() == [5, 2, 9]
+        assert [r.source for r in merged[0].rules] == ["a", "b"]
+        assert [r.source for r in merged[1].rules] == ["c"]
+
     def test_label_mask(self, anomaly_setup):
         pre, bad_tids = anomaly_setup
         candidate = CandidateSet(tids=bad_tids, origin="test")

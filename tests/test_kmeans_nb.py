@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import learn_oracles as oracles
 from repro.db import Table
 from repro.errors import LearnError, NotFittedError
 from repro.learn import (
@@ -103,6 +106,78 @@ class TestModelSelection:
 
     def test_dominant_cluster_empty_input(self):
         assert dominant_cluster_mask(np.zeros((0, 2))).tolist() == []
+
+
+@st.composite
+def _points(draw, max_n=120):
+    """Blobs or duplicate-heavy grids of 3..max_n points in 1-3 dims."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, max_n))
+    dims = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["blobs", "grid", "one_blob"]))
+    if kind == "blobs":
+        centers = rng.normal(0.0, 8.0, (draw(st.integers(2, 5)), dims))
+        X = centers[rng.integers(0, len(centers), n)] + rng.normal(0, 1, (n, dims))
+    elif kind == "grid":
+        # Few distinct coordinates: many duplicate points and zero distances.
+        X = rng.integers(0, 3, (n, dims)).astype(np.float64)
+    else:
+        X = rng.normal(0.0, 1.0, (n, dims))
+    return X, rng
+
+
+class TestModelSelectionParity:
+    """Silhouette / choose_k / dominant mask ≡ the per-point loop (learn_oracles)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _points(max_n=200),
+        st.integers(1, 5),
+        st.sampled_from([512, 40, 7]),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    def test_silhouette_bit_equal(self, points, k, max_points, seed, singleton):
+        X, rng = points
+        labels = rng.integers(0, k, len(X))
+        if singleton:
+            labels[int(rng.integers(len(X)))] = k  # a one-member cluster
+        assert silhouette(X, labels, max_points=max_points, seed=seed) == (
+            oracles.silhouette(X, labels, max_points=max_points, seed=seed)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        _points(),
+        st.sampled_from([(2, 3, 4), (2, 3, 4, 5), (3,)]),
+        st.sampled_from([0.5, 0.0, -1.0]),
+        st.integers(0, 3),
+    )
+    def test_choose_k_and_dominant_mask_match(self, points, k_values, floor, seed):
+        X, __ = points
+        assert choose_k(X, k_values, seed, floor) == (
+            oracles.choose_k(X, k_values, seed, floor)
+        )
+        assert np.array_equal(
+            dominant_cluster_mask(X, seed=seed),
+            oracles.dominant_cluster_mask(X, seed=seed),
+        )
+
+    @pytest.mark.parametrize("n,seed", [(513, 0), (700, 1), (900, 2)])
+    def test_subsampled_selection_matches(self, n, seed):
+        # Beyond 512 points the silhouette scores a seeded subsample.
+        rng = np.random.default_rng(seed)
+        X = np.concatenate([rng.normal(0, 1, (n - n // 4, 2)),
+                            rng.normal(6, 1, (n // 4, 2))])
+        labels = kmeans(X, 3, seed=seed).labels
+        assert silhouette(X, labels, seed=seed) == oracles.silhouette(
+            X, labels, seed=seed
+        )
+        assert choose_k(X, seed=seed) == oracles.choose_k(X, seed=seed)
+        assert np.array_equal(
+            dominant_cluster_mask(X, seed=seed),
+            oracles.dominant_cluster_mask(X, seed=seed),
+        )
 
 
 class TestNaiveBayes:

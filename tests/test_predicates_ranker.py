@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    DEFAULT_STRATEGIES,
+    CandidateSet,
     DatasetEnumerator,
     PredicateEnumerator,
     PredicateRanker,
@@ -14,6 +16,7 @@ from repro.core import (
 )
 from repro.db import Database
 from repro.errors import PipelineError
+from repro.learn import DecisionTree
 
 
 @pytest.fixture
@@ -76,6 +79,92 @@ class TestPredicateEnumerator:
     def test_validation_fraction_bounds(self):
         with pytest.raises(PipelineError):
             PredicateEnumerator(validation_fraction=0.0)
+
+
+def _noisy_candidate(pre):
+    """A candidate no shallow tree fits exactly, so pruning has work to do."""
+    rng = np.random.default_rng(5)
+    tids = np.asarray(pre.F.tids)
+    temp = np.asarray(pre.F.column("temp"), dtype=float)
+    pick = (temp > 21.0) ^ (rng.random(len(tids)) < 0.15)
+    return CandidateSet(tids=tids[pick], origin="test")
+
+
+class TestSharedGiniTree:
+    """``gini/ccp`` prunes a copy of the tree ``gini/none`` grew."""
+
+    def _setup(self, stage_setup):
+        pre, __ = stage_setup
+        candidate = _noisy_candidate(pre)
+        labels = candidate.label_mask(pre.F)
+        features = list(pre.F.schema.names)
+        index = pre.split_index(features=features)
+        return pre, labels, features, index
+
+    def _fresh(self, pre, labels, features, index, alpha=None):
+        tree = DecisionTree(criterion="gini", max_depth=5, min_samples_leaf=2).fit(
+            pre.F, labels, features=features, split_index=index
+        )
+        if alpha is not None:
+            tree.cost_complexity_prune(alpha)
+        return tree
+
+    @staticmethod
+    def _describe(rules):
+        return [
+            (r.predicate.describe(), r.n_covered, r.n_pos_covered, r.quality)
+            for r in rules
+        ]
+
+    def test_ccp_rules_match_fresh_fit_and_prune(self, stage_setup):
+        pre, labels, features, index = self._setup(stage_setup)
+        alpha = 2.0
+        unpruned = self._fresh(pre, labels, features, index)
+        pruned = self._fresh(pre, labels, features, index, alpha)
+        assert pruned.n_leaves < unpruned.n_leaves  # the prune does something
+
+        enumerator = PredicateEnumerator()
+        none = TreeStrategy(criterion="gini")
+        ccp = TreeStrategy(criterion="gini", prune="ccp", ccp_alpha=alpha)
+        grown: dict = {}
+
+        def rules(strategy):
+            return enumerator._tree_rules(
+                pre.F, labels, None, features, strategy, index, grown
+            )
+
+        before = rules(none)
+        pruned_rules = rules(ccp)
+        after = rules(none)
+        assert len(grown) == 1
+        assert self._describe(pruned_rules) == self._describe(
+            pruned.positive_rules(min_precision=0.5)
+        )
+        # Pruning the copy leaves the shared gini/none tree untouched.
+        expected = self._describe(unpruned.positive_rules(min_precision=0.5))
+        assert self._describe(before) == expected
+        assert self._describe(after) == expected
+        assert {r.source for r in pruned_rules} <= {"tree:gini/ccp"}
+        assert {r.source for r in before} <= {"tree:gini"}
+
+    def test_default_strategies_fit_four_trees_per_candidate(
+        self, stage_setup, monkeypatch
+    ):
+        pre, __ = stage_setup
+        calls = []
+        fit = DecisionTree.fit
+
+        def counting_fit(self, *args, **kwargs):
+            calls.append(self.criterion)
+            return fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecisionTree, "fit", counting_fit)
+        assert len(DEFAULT_STRATEGIES) == 5
+        rules = PredicateEnumerator().run(pre, [_noisy_candidate(pre)])
+        assert rules
+        # gini/none, entropy, gain_ratio, gini/rep (training subset);
+        # gini/ccp reuses the gini/none tree.
+        assert sorted(calls) == ["entropy", "gain_ratio", "gini", "gini"]
 
 
 class TestPredicateRanker:

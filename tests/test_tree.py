@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import Table
 from repro.errors import LearnError, NotFittedError
@@ -386,3 +388,111 @@ class TestSplits:
         split = NumericSplit("x", 5.0)
         values = np.array([1.0, np.nan, 9.0])
         assert split.go_left(values).tolist() == [True, False, False]
+
+
+@st.composite
+def _node_case(draw):
+    """A random table, fit weights, feature order and node split."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 150))
+    columns, types = {}, {}
+    for j in range(draw(st.integers(1, 3))):
+        values = np.round(rng.normal(0.0, 2.0, n), draw(st.integers(0, 2)))
+        values[rng.random(n) < 0.1] = np.nan
+        columns[f"n{j}"], types[f"n{j}"] = values, "float"
+    for j in range(draw(st.integers(0, 2))):
+        values = [f"v{int(i)}" for i in rng.integers(0, 5, n)]
+        values = [None if rng.random() < 0.1 else v for v in values]
+        columns[f"c{j}"], types[f"c{j}"] = values, "str"
+    table = Table.from_columns(columns, types=types)
+    weight_kind = draw(st.sampled_from(["none", "integral", "fractional"]))
+    weights = {
+        "none": None,
+        "integral": rng.integers(0, 6, n).astype(np.float64),
+        "fractional": rng.uniform(0.1, 3.0, n),
+    }[weight_kind]
+    names = list(columns)
+    features = [names[i] for i in rng.permutation(len(names))][
+        : draw(st.integers(1, len(names)))
+    ]
+    node = np.sort(rng.choice(n, size=draw(st.integers(1, n)), replace=False))
+    goes_left = rng.random(len(node)) < rng.uniform(0.0, 1.0)
+    labels = rng.random(n) < 0.4
+    index = SplitIndex.build(table, max_thresholds=draw(st.integers(1, 12)))
+    return table, labels, weights, weight_kind, features, index, node, goes_left
+
+
+class TestNodeHistograms:
+    """One merged bincount per node and parent − child subtraction."""
+
+    @staticmethod
+    def _context(case):
+        table, labels, weights, __, features, index, __, __ = case
+        tree = DecisionTree(max_thresholds=index.max_thresholds)
+        ctx, __ = tree._fit_context(
+            table, labels, weights, features=features, split_index=index
+        )
+        return ctx
+
+    @settings(max_examples=150, deadline=None)
+    @given(_node_case())
+    def test_merged_histograms_equal_per_column_bincounts(self, case):
+        __, labels, weights, __, features, index, node, __ = case
+        ctx = self._context(case)
+        w = np.ones(len(labels)) if weights is None else weights
+        p = np.where(labels, w, 0.0)
+        hist_n, hist_w, hist_p = ctx.histograms(node)
+        for name, (lo, hi) in zip(features, ctx.bounds):
+            column = index.column(name)
+            codes = column.codes[node]
+            assert hi - lo == column.n_bins
+            assert np.array_equal(
+                hist_n[lo:hi], np.bincount(codes, minlength=column.n_bins)
+            )
+            assert np.array_equal(
+                hist_w[lo:hi],
+                np.bincount(codes, weights=w[node], minlength=column.n_bins),
+            )
+            assert np.array_equal(
+                hist_p[lo:hi],
+                np.bincount(codes, weights=p[node], minlength=column.n_bins),
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_node_case())
+    def test_subtracted_children_equal_direct_counts(self, case):
+        __, __, __, weight_kind, __, __, node, goes_left = case
+        ctx = self._context(case)
+        left, right = node[goes_left], node[~goes_left]
+        children = ctx.child_histograms(ctx.histograms(node), left, right)
+        if weight_kind == "fractional":
+            # Float sums depend on order: both children count directly.
+            assert not ctx.subtract
+            assert children == (None, None)
+            return
+        assert ctx.subtract
+        for child, rows in zip(children, (left, right)):
+            for got, want in zip(child, ctx.histograms(rows)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_huge_integral_weights_count_directly(self):
+        table = Table.from_columns({"x": np.arange(6, dtype=np.float64)})
+        labels = np.array([True, False] * 3)
+        tree = DecisionTree()
+        ctx, __ = tree._fit_context(table, labels, np.full(6, 2.0**52))
+        assert not ctx.subtract
+
+    def test_per_column_codes_are_views_of_the_matrix(self, separable_table):
+        table, __ = separable_table
+        index = SplitIndex.build(table)
+        rows = np.arange(0, len(table), 3)
+        sub = index.take(rows)
+        for j, name in enumerate(index.features):
+            assert np.shares_memory(index.column(name).codes, index.codes)
+            assert np.shares_memory(sub.column(name).codes, sub.codes)
+            assert np.array_equal(
+                sub.column(name).codes, index.column(name).codes[rows]
+            )
+            assert np.array_equal(index.codes[j], index.column(name).codes)
+        assert sub.n_rows == len(rows)
